@@ -1,7 +1,9 @@
 //! Bench regression gate: compares `BENCH_results.json`'s `mean_ns`
 //! against the committed `baseline_ns` and fails (exit code 1) if any
 //! `engine/*` or `end_to_end/*` entry regressed by more than the
-//! allowed factor. Run after a bench pass, e.g.:
+//! allowed factor, or has a baseline but no measured mean (a bench
+//! that stopped running must not pass silently). Run after a bench
+//! pass, e.g.:
 //!
 //! ```sh
 //! cargo bench --bench end_to_end && cargo run --bin bench_gate
@@ -71,11 +73,16 @@ fn main() -> ExitCode {
     };
     let mut gated = 0usize;
     let mut regressions = Vec::new();
+    let mut unmeasured = Vec::new();
     for (name, baseline, mean) in parse(&text) {
         if !GATED_PREFIXES.iter().any(|p| name.starts_with(p)) {
             continue;
         }
-        let (Some(baseline), Some(mean)) = (baseline, mean) else { continue };
+        let Some(baseline) = baseline else { continue };
+        let Some(mean) = mean else {
+            unmeasured.push(name);
+            continue;
+        };
         gated += 1;
         let ratio = mean / baseline;
         if ratio > 1.0 + TOLERANCE {
@@ -86,7 +93,13 @@ fn main() -> ExitCode {
         eprintln!("bench_gate: no gated entries found in {} — refusing to pass", path.display());
         return ExitCode::FAILURE;
     }
-    if regressions.is_empty() {
+    if !unmeasured.is_empty() {
+        eprintln!("bench_gate: {} gated entries have a baseline_ns but no mean_ns:", unmeasured.len());
+        for name in &unmeasured {
+            eprintln!("  {name}");
+        }
+    }
+    if regressions.is_empty() && unmeasured.is_empty() {
         println!(
             "bench_gate: OK — {gated} gated entries within {:.0}% of baseline ({})",
             TOLERANCE * 100.0,
@@ -94,7 +107,13 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    eprintln!("bench_gate: {} regression(s) beyond {:.0}%:", regressions.len(), TOLERANCE * 100.0);
+    if !regressions.is_empty() {
+        eprintln!(
+            "bench_gate: {} regression(s) beyond {:.0}%:",
+            regressions.len(),
+            TOLERANCE * 100.0
+        );
+    }
     for (name, baseline, mean, ratio) in regressions {
         eprintln!("  {name:<40} baseline {baseline:>14.1} ns  mean {mean:>14.1} ns  ({ratio:.2}x)");
     }

@@ -76,7 +76,7 @@ pub use processor::{Outcome, PlanCacheStats, Processor, ProcessorOptions};
 pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
 pub use runtime::{HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;
-pub use stream_gate::{GateDecision, IncrementalSensor, StreamGate};
+pub use stream_gate::{GateDecision, StreamGate};
 
 // Re-export the chain type users need to construct a processor.
 pub use paradise_nodes::ProcessingChain;

@@ -17,7 +17,7 @@ use crate::preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
 use crate::remainder::Remainder;
 
 /// Processor configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProcessorOptions {
     /// Preprocessor options (relation substitutions…).
     pub preprocess: PreprocessOptions,
@@ -28,21 +28,6 @@ pub struct ProcessorOptions {
     /// If set, run the §3.1 information-gain check against the raw data
     /// and refuse rewritings that lose more than this KL threshold.
     pub info_gain_threshold: Option<f64>,
-    /// Cache fragment plans keyed by (module, query), so repeated
-    /// continuous-query runs skip preprocessing and fragmentation.
-    pub plan_cache: bool,
-}
-
-impl Default for ProcessorOptions {
-    fn default() -> Self {
-        ProcessorOptions {
-            preprocess: PreprocessOptions::default(),
-            assignment: AssignmentPolicy::default(),
-            anon: AnonStrategy::default(),
-            info_gain_threshold: None,
-            plan_cache: true,
-        }
-    }
 }
 
 /// Upper bound on cached fragment plans before the cache resets.
@@ -198,7 +183,7 @@ pub struct Processor {
     policies: HashMap<String, ModulePolicy>,
     options: ProcessorOptions,
     remainder: Option<Remainder>,
-    plan_cache: HashMap<(String, u64), CachedPlan>,
+    fragment_plans: HashMap<(String, u64), CachedPlan>,
     cache_stats: PlanCacheStats,
 }
 
@@ -238,7 +223,7 @@ impl Processor {
             policies: HashMap::new(),
             options: ProcessorOptions::default(),
             remainder: None,
-            plan_cache: HashMap::new(),
+            fragment_plans: HashMap::new(),
             cache_stats: PlanCacheStats::default(),
         }
     }
@@ -248,7 +233,7 @@ impl Processor {
     #[must_use]
     pub fn with_policy(mut self, module_id: impl Into<String>, policy: ModulePolicy) -> Self {
         let module: String = module_id.into();
-        self.plan_cache.retain(|(m, _), _| m != &module);
+        self.fragment_plans.retain(|(m, _), _| m != &module);
         self.policies.insert(module, policy);
         self
     }
@@ -257,7 +242,7 @@ impl Processor {
     /// affect the rewriting).
     #[must_use]
     pub fn with_options(mut self, options: ProcessorOptions) -> Self {
-        self.plan_cache.clear();
+        self.fragment_plans.clear();
         self.options = options;
         self
     }
@@ -347,54 +332,47 @@ impl Processor {
         // so hash collisions can never serve a wrong plan, and a
         // source-schema change invalidates the entry.
         let key = (module_id.to_string(), paradise_engine::plan::ast_key(query));
-        let (pre, plan) = if self.options.plan_cache {
-            let cached = self.plan_cache.get(&key).and_then(|c| {
-                if c.query != *query {
-                    return None; // hash collision: recompute
-                }
-                if source_fingerprint(&self.chain, &c.tables) != c.fingerprint {
-                    return Some(None); // schemas changed: invalidate
-                }
-                Some(Some((c.pre.clone(), c.plan.clone())))
-            });
-            match cached {
-                Some(Some(hit)) => {
-                    self.cache_stats.hits += 1;
-                    hit
-                }
-                stale => {
-                    self.cache_stats.misses += 1;
-                    if matches!(stale, Some(None)) {
-                        self.cache_stats.invalidations += 1;
-                    }
-                    let policy = &self.policies[module_id];
-                    let pre = preprocess(query, policy, &self.options.preprocess)?;
-                    let plan = fragment_query(&pre.query)?;
-                    // bound the cache: a stream of distinct ad-hoc queries
-                    // must not grow memory forever (epoch-style reset)
-                    if self.plan_cache.len() >= MAX_CACHED_PLANS {
-                        self.plan_cache.clear();
-                    }
-                    let tables = paradise_sql::analysis::base_relations(query);
-                    let fingerprint = source_fingerprint(&self.chain, &tables);
-                    self.plan_cache.insert(
-                        key,
-                        CachedPlan {
-                            query: query.clone(),
-                            pre: pre.clone(),
-                            plan: plan.clone(),
-                            tables,
-                            fingerprint,
-                        },
-                    );
-                    (pre, plan)
-                }
+        let cached = self.fragment_plans.get(&key).and_then(|c| {
+            if c.query != *query {
+                return None; // hash collision: recompute
             }
-        } else {
-            let policy = &self.policies[module_id];
-            let pre = preprocess(query, policy, &self.options.preprocess)?;
-            let plan = fragment_query(&pre.query)?;
-            (pre, plan)
+            if source_fingerprint(&self.chain, &c.tables) != c.fingerprint {
+                return Some(None); // schemas changed: invalidate
+            }
+            Some(Some((c.pre.clone(), c.plan.clone())))
+        });
+        let (pre, plan) = match cached {
+            Some(Some(hit)) => {
+                self.cache_stats.hits += 1;
+                hit
+            }
+            stale => {
+                self.cache_stats.misses += 1;
+                if matches!(stale, Some(None)) {
+                    self.cache_stats.invalidations += 1;
+                }
+                let policy = &self.policies[module_id];
+                let pre = preprocess(query, policy, &self.options.preprocess)?;
+                let plan = fragment_query(&pre.query)?;
+                // bound the cache: a stream of distinct ad-hoc queries
+                // must not grow memory forever (epoch-style reset)
+                if self.fragment_plans.len() >= MAX_CACHED_PLANS {
+                    self.fragment_plans.clear();
+                }
+                let tables = paradise_sql::analysis::base_relations(query);
+                let fingerprint = source_fingerprint(&self.chain, &tables);
+                self.fragment_plans.insert(
+                    key,
+                    CachedPlan {
+                        query: query.clone(),
+                        pre: pre.clone(),
+                        plan: plan.clone(),
+                        tables,
+                        fingerprint,
+                    },
+                );
+                (pre, plan)
+            }
         };
 
         // 2. information-gain check (optional)
@@ -609,18 +587,6 @@ mod tests {
         let warm = p.engine_plan_stats();
         assert!(warm.hits >= 4, "second tick reuses every stage plan: {warm:?}");
         assert_eq!(warm.misses, cold.misses, "no recompilation on the warm tick");
-    }
-
-    #[test]
-    fn plan_cache_can_be_disabled() {
-        let mut p = processor().with_options(ProcessorOptions {
-            plan_cache: false,
-            ..ProcessorOptions::default()
-        });
-        let q = parse_query(PAPER_ORIGINAL).unwrap();
-        p.run("ActionFilter", &q).unwrap();
-        p.run("ActionFilter", &q).unwrap();
-        assert_eq!(p.plan_cache_stats(), PlanCacheStats::default());
     }
 
     #[test]

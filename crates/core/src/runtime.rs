@@ -270,8 +270,7 @@ impl Runtime {
 
     /// Builder: set processor options (preprocess substitutions,
     /// assignment policy, anonymization strategy, information-gain
-    /// threshold; the `plan_cache` flag is meaningless here — caching
-    /// per registered handle is what the runtime *is*).
+    /// threshold).
     #[must_use]
     pub fn with_options(mut self, options: ProcessorOptions) -> Self {
         self.options = options;

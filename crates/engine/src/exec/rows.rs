@@ -1,12 +1,12 @@
-//! The original row-at-a-time operators, kept as the executable
-//! reference semantics for the columnar engine.
+//! The row-at-a-time operators: the executable reference semantics
+//! for the compiled physical plans.
 //!
-//! [`ExecMode::RowAtATime`](super::ExecMode) routes every `SELECT`
-//! block through this module: rows are materialised through the
-//! row-view adapter of [`Frame`], each operator walks `Vec<Row>`
-//! exactly like the pre-columnar executor did, and the result is
-//! converted back at the end. The executor-equivalence suite runs the
-//! whole corpus through both paths and asserts identical frames.
+//! [`ExecMode::RowAtATime`](super::ExecMode) routes every query
+//! through this module: rows are materialised through the row-view
+//! adapter of [`Frame`], each operator walks `Vec<Row>`, and every
+//! expression is evaluated per row with [`eval_expr`]. The
+//! executor-equivalence suites run whole corpora through both paths
+//! and assert identical frames, or the same error.
 
 use std::collections::HashMap;
 
@@ -21,16 +21,27 @@ use crate::value::{DataType, GroupKey, Value};
 use super::aggregate::{AggKind, Accumulator};
 use super::{
     apply_limit_offset_frame, check_strict_grouping, collect_aggregate_calls, dedupe_with_keys,
-    finalise_types, query_aggregates, replace_aggregate_calls, sort_by_keys, window, Executor,
-    ProjPlan,
+    finalise_types, query_aggregates, replace_aggregate_calls, sort_by_keys, union_append, window,
+    Executor, ProjPlan,
 };
 
-/// Execute one `SELECT` block with the row-major reference operators.
-pub(super) fn execute_block_rows(
-    exec: &Executor<'_>,
-    query: &Query,
-    input: Frame,
-) -> EngineResult<Frame> {
+/// Execute a whole query (its `UNION` chain included) with the
+/// row-major reference operators.
+pub(super) fn execute_rows(exec: &Executor<'_>, query: &Query) -> EngineResult<Frame> {
+    let mut result = execute_block_rows(exec, query)?;
+    for (all, q) in &query.unions {
+        let next = execute_block_rows(exec, q)?;
+        union_append(&mut result, next, *all)?;
+    }
+    Ok(result)
+}
+
+/// Execute one `SELECT` block.
+fn execute_block_rows(exec: &Executor<'_>, query: &Query) -> EngineResult<Frame> {
+    let input = match &query.from {
+        Some(table) => exec.eval_table(table)?,
+        None => Frame::new(Schema::default(), vec![vec![]])?, // one empty row
+    };
     let schema = input.schema.clone();
     let rows = input.into_rows();
 
@@ -51,20 +62,19 @@ pub(super) fn execute_block_rows(
     };
 
     if query_aggregates(query) {
-        execute_aggregation_rows(exec, query, schema, filtered)
+        aggregate_block_rows(exec, query, schema, filtered)
     } else {
-        execute_plain_rows(exec, query, schema, filtered)
+        plain_block_rows(exec, query, schema, filtered)
     }
 }
 
-fn execute_plain_rows(
+fn plain_block_rows(
     exec: &Executor<'_>,
     query: &Query,
-    schema: Schema,
-    rows: Vec<Row>,
+    mut work_schema: Schema,
+    mut work_rows: Vec<Row>,
 ) -> EngineResult<Frame> {
-    // window functions over the filtered input (shared with the
-    // columnar path; rows are re-materialised afterwards)
+    // window functions over the filtered input
     let mut window_calls: Vec<FunctionCall> = Vec::new();
     for item in &query.items {
         if let SelectItem::Expr { expr, .. } = item {
@@ -75,21 +85,10 @@ fn execute_plain_rows(
         window::collect_window_calls(&o.expr, &mut window_calls);
     }
 
-    let (work_schema, work_rows, rewrite_map) = if window_calls.is_empty() {
-        (schema, rows, Vec::new())
-    } else {
-        let frame = Frame::from_rows(schema, rows);
-        let (frame, map) = window::attach_window_columns(exec, frame, window_calls)?;
-        let schema = frame.schema.clone();
-        (schema, frame.into_rows(), map)
-    };
+    let rewrite_map =
+        window::attach_window_columns(exec, &mut work_schema, &mut work_rows, window_calls)?;
 
-    let rewrite = |expr: &Expr| -> Expr {
-        if rewrite_map.is_empty() {
-            return expr.clone();
-        }
-        window::replace_window_calls(expr.clone(), &rewrite_map)
-    };
+    let rewrite = |expr: &Expr| window::replace_window_calls(expr.clone(), &rewrite_map);
 
     let subquery_fn = |q: &Query| exec.execute(q);
     let ctx = EvalContext { schema: &work_schema, subquery: Some(&subquery_fn) };
@@ -134,7 +133,7 @@ fn execute_plain_rows(
     Ok(frame)
 }
 
-fn execute_aggregation_rows(
+fn aggregate_block_rows(
     exec: &Executor<'_>,
     query: &Query,
     schema: Schema,

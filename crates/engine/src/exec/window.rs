@@ -8,24 +8,25 @@
 //! * `OVER (PARTITION BY p)` / `OVER ()` — the whole partition for every
 //!   row.
 //!
-//! Besides the aggregate kinds, `ROW_NUMBER()` and `RANK()` are supported.
+//! Besides the aggregate kinds, `ROW_NUMBER()`, `RANK()` and
+//! `DENSE_RANK()` are supported.
 //!
-//! Partition keys, sort keys and aggregate arguments are evaluated
-//! column-at-a-time over the input frame (one batch per expression, not
-//! one `eval_expr` per row); each computed window lands in the frame as
-//! a fresh column buffer via [`Frame::push_column`].
+//! This module is the row-at-a-time reference: partition keys, sort
+//! keys and aggregate arguments are evaluated per row with
+//! [`eval_expr`], and each computed window is appended to every row.
+//! The compiled plans compute the same values with their own
+//! column-at-a-time operators (`crate::plan`); the two share only the
+//! [`Accumulator`]s.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use paradise_sql::ast::{ColumnRef, Expr, FunctionCall, SortOrder};
+use paradise_sql::ast::{ColumnRef, Expr, FunctionCall, Query, SortOrder};
 use paradise_sql::visit::transform_expr;
 
-use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr_batch, Batch, EvalContext};
-use crate::frame::Frame;
-use crate::schema::Column;
+use crate::eval::{eval_expr, EvalContext};
+use crate::frame::Row;
+use crate::schema::{Column, Schema};
 use crate::value::{DataType, GroupKey, Value};
 
 use super::aggregate::{AggKind, Accumulator};
@@ -76,27 +77,33 @@ pub fn collect_window_calls(expr: &Expr, out: &mut Vec<FunctionCall>) {
     }
 }
 
-/// Compute every window call over `input` and return the frame extended
-/// with one synthetic column per call, plus the (call → column name) map
-/// used to rewrite expressions.
+/// Compute every window call over `rows` and append one synthetic
+/// column per call (to `schema` and to every row), returning the
+/// (call → column name) map used to rewrite expressions.
 pub fn attach_window_columns(
     executor: &Executor<'_>,
-    input: Frame,
+    schema: &mut Schema,
+    rows: &mut [Row],
     calls: Vec<FunctionCall>,
-) -> EngineResult<(Frame, Vec<(FunctionCall, String)>)> {
-    let mut frame = input;
+) -> EngineResult<Vec<(FunctionCall, String)>> {
     let mut map = Vec::with_capacity(calls.len());
     for (i, call) in calls.into_iter().enumerate() {
         let name = format!("__win{i}");
-        let values = compute_window(executor, &frame, &call)?;
-        frame.push_column(Column::new(name.clone(), DataType::Float), values)?;
+        let values = compute_window(executor, schema, rows, &call)?;
+        for (row, v) in rows.iter_mut().zip(values) {
+            row.push(v);
+        }
+        schema.push(Column::new(name.clone(), DataType::Float));
         map.push((call, name));
     }
-    Ok((frame, map))
+    Ok(map)
 }
 
 /// Replace window calls with their synthetic column references.
 pub fn replace_window_calls(expr: Expr, map: &[(FunctionCall, String)]) -> Expr {
+    if map.is_empty() {
+        return expr;
+    }
     transform_expr(expr, &mut |e| match &e {
         Expr::Function(f) if f.over.is_some() => map
             .iter()
@@ -106,155 +113,116 @@ pub fn replace_window_calls(expr: Expr, map: &[(FunctionCall, String)]) -> Expr 
     })
 }
 
-/// Compute one window call: one output value per input row, in input
-/// row order.
+/// Compute one window call: one output value per row, in row order.
 fn compute_window(
     executor: &Executor<'_>,
-    input: &Frame,
+    schema: &Schema,
+    rows: &[Row],
     call: &FunctionCall,
-) -> EngineResult<ColumnData> {
+) -> EngineResult<Vec<Value>> {
     let over = call.over.as_ref().expect("window call");
-    let subquery_fn = |q: &paradise_sql::ast::Query| executor.execute(q);
-    let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
-    let n = input.len();
-
-    // partition rows (keys batch-evaluated, one column per expression)
-    let part_cols: Vec<Arc<ColumnData>> = over
-        .partition_by
-        .iter()
-        .map(|p| Ok(eval_expr_batch(p, input, &ctx)?.into_column_arc(n)))
-        .collect::<EngineResult<_>>()?;
-    let mut partitions: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for ri in 0..n {
-        let key: Vec<GroupKey> = part_cols.iter().map(|c| c.group_key_at(ri)).collect();
-        partitions.entry(key).or_default().push(ri);
-    }
-
-    let mut out = vec![Value::Null; n];
     let upper = call.name.to_ascii_uppercase();
     let ranking = matches!(upper.as_str(), "ROW_NUMBER" | "RANK" | "DENSE_RANK");
     let agg_kind = AggKind::from_name(&call.name);
     if !ranking && agg_kind.is_none() {
         return Err(EngineError::UnknownFunction(format!("{} OVER", call.name)));
     }
+    let subquery_fn = |q: &Query| executor.execute(q);
+    let ctx = EvalContext { schema, subquery: Some(&subquery_fn) };
+    // one value per row for each expression (expression-major, so the
+    // first failing expression reports its first failing row)
+    let per_row = |e: &Expr| -> EngineResult<Vec<Value>> {
+        rows.iter().map(|r| eval_expr(e, r, &ctx)).collect()
+    };
 
-    // sort keys and aggregate arguments, batch-evaluated globally
-    let key_cols: Vec<Arc<ColumnData>> = over
-        .order_by
-        .iter()
-        .map(|o| Ok(eval_expr_batch(&o.expr, input, &ctx)?.into_column_arc(n)))
-        .collect::<EngineResult<_>>()?;
-    let arg_batches: Vec<Batch> = if ranking {
+    let part_vals: Vec<Vec<Value>> =
+        over.partition_by.iter().map(per_row).collect::<EngineResult<_>>()?;
+    let key_vals: Vec<Vec<Value>> =
+        over.order_by.iter().map(|o| per_row(&o.expr)).collect::<EngineResult<_>>()?;
+    let arg_vals: Vec<Vec<Value>> = if ranking {
         Vec::new()
     } else {
         call.args
             .iter()
             .map(|a| match a {
-                Expr::Wildcard => Ok(Batch::Const(Value::Int(1))),
-                other => eval_expr_batch(other, input, &ctx),
+                Expr::Wildcard => Ok(vec![Value::Int(1); rows.len()]),
+                other => per_row(other),
             })
             .collect::<EngineResult<_>>()?
     };
-    // equal sort keys ⇒ peers
-    let peers_eq = |a: usize, b: usize| -> bool {
-        key_cols.iter().all(|c| c.cmp_at(a, c, b).is_eq())
+
+    // partitions in first-appearance order
+    let mut slots: HashMap<Vec<GroupKey>, usize> = HashMap::new();
+    let mut partitions: Vec<Vec<usize>> = Vec::new();
+    for ri in 0..rows.len() {
+        let key: Vec<GroupKey> = part_vals.iter().map(|c| c[ri].group_key()).collect();
+        let slot = *slots.entry(key).or_insert_with(|| {
+            partitions.push(Vec::new());
+            partitions.len() - 1
+        });
+        partitions[slot].push(ri);
+    }
+
+    let cmp = |a: usize, b: usize| -> std::cmp::Ordering {
+        for (col, o) in key_vals.iter().zip(&over.order_by) {
+            let ord = col[a].total_cmp(&col[b]);
+            let ord = if o.order == SortOrder::Desc { ord.reverse() } else { ord };
+            if !ord.is_eq() {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
     };
+    // equal sort keys ⇒ peers
+    let peers = |a: usize, b: usize| key_vals.iter().all(|c| c[a].total_cmp(&c[b]).is_eq());
 
-    let mut arg_buf: Vec<Value> = Vec::with_capacity(arg_batches.len());
-    for indices in partitions.values() {
-        // sort partition by ORDER BY keys (stable on input order)
-        let mut ordered: Vec<usize> = (0..indices.len()).collect();
-        if !over.order_by.is_empty() {
-            ordered.sort_by(|&a, &b| {
-                for (col, o) in key_cols.iter().zip(&over.order_by) {
-                    let ord = col.cmp_at(indices[a], col, indices[b]);
-                    let ord = if o.order == SortOrder::Desc { ord.reverse() } else { ord };
-                    if !ord.is_eq() {
-                        return ord;
-                    }
+    let mut out = vec![Value::Null; rows.len()];
+    for mut part in partitions {
+        // stable: ties keep input order
+        part.sort_by(|&a, &b| cmp(a, b));
+        let Some(kind) = agg_kind else {
+            let (mut rank, mut dense) = (0i64, 0i64);
+            for (i, &ri) in part.iter().enumerate() {
+                if i == 0 || key_vals.is_empty() || !peers(part[i - 1], ri) {
+                    rank = i as i64 + 1;
+                    dense += 1;
                 }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        if ranking {
-            compute_ranking(&upper, indices, &ordered, &over.order_by, &peers_eq, &mut out);
+                out[ri] = Value::Int(match upper.as_str() {
+                    "ROW_NUMBER" => i as i64 + 1,
+                    "RANK" => rank,
+                    _ => dense,
+                });
+            }
             continue;
-        }
-        let kind = agg_kind.expect("checked above");
-
-        if over.order_by.is_empty() {
-            // whole-partition value
-            let mut acc = Accumulator::new(kind, call.distinct);
-            for &pos in &ordered {
-                let ri = indices[pos];
-                arg_buf.clear();
-                arg_buf.extend(arg_batches.iter().map(|b| b.value(ri)));
-                acc.update(&arg_buf)?;
+        };
+        // without ORDER BY every row of the partition is a peer: the
+        // running aggregate covers the whole partition
+        let mut acc = Accumulator::new(kind, call.distinct);
+        let mut i = 0;
+        while i < part.len() {
+            let mut j = i + 1;
+            while j < part.len() && peers(part[i], part[j]) {
+                j += 1;
+            }
+            for &ri in &part[i..j] {
+                let args: Vec<Value> = arg_vals.iter().map(|c| c[ri].clone()).collect();
+                acc.update(&args)?;
             }
             let v = acc.finish();
-            for &pos in &ordered {
-                out[indices[pos]] = v.clone();
+            for &ri in &part[i..j] {
+                out[ri] = v.clone();
             }
-        } else {
-            // running aggregate with peer groups
-            let mut acc = Accumulator::new(kind, call.distinct);
-            let mut i = 0;
-            while i < ordered.len() {
-                // find the peer group [i, j)
-                let mut j = i + 1;
-                while j < ordered.len() && peers_eq(indices[ordered[i]], indices[ordered[j]]) {
-                    j += 1;
-                }
-                for &pos in &ordered[i..j] {
-                    let ri = indices[pos];
-                    arg_buf.clear();
-                    arg_buf.extend(arg_batches.iter().map(|b| b.value(ri)));
-                    acc.update(&arg_buf)?;
-                }
-                let v = acc.finish();
-                for &pos in &ordered[i..j] {
-                    out[indices[pos]] = v.clone();
-                }
-                i = j;
-            }
+            i = j;
         }
     }
-    Ok(ColumnData::from_values(out))
-}
-
-fn compute_ranking(
-    name: &str,
-    indices: &[usize],
-    ordered: &[usize],
-    order_by: &[paradise_sql::ast::OrderByItem],
-    peers_eq: &dyn Fn(usize, usize) -> bool,
-    out: &mut [Value],
-) {
-    let mut rank = 0u64;
-    let mut dense = 0u64;
-    for (i, &pos) in ordered.iter().enumerate() {
-        let new_peer_group = i == 0
-            || order_by.is_empty()
-            || !peers_eq(indices[ordered[i - 1]], indices[pos]);
-        if new_peer_group {
-            rank = (i + 1) as u64;
-            dense += 1;
-        }
-        let v = match name {
-            "ROW_NUMBER" => (i + 1) as i64,
-            "RANK" => rank as i64,
-            _ => dense as i64,
-        };
-        out[indices[pos]] = Value::Int(v);
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::schema::Schema;
+    use crate::frame::Frame;
     use paradise_sql::parse_query;
 
     fn catalog() -> Catalog {

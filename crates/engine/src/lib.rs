@@ -1,8 +1,8 @@
 //! # paradise-engine
 //!
 //! An in-memory relational execution engine for the PArADISE
-//! reproduction. It interprets the `paradise-sql` AST directly: scans,
-//! filters, joins, grouping/aggregation (including the SQL:2011
+//! reproduction. It compiles `paradise-sql` queries into physical
+//! plans ([`plan`]) and runs them: scans, filters, joins, grouping/aggregation (including the SQL:2011
 //! regression aggregates), window functions, sorting and set operations —
 //! everything the paper's vertical hierarchy of query processors needs,
 //! at every level from "cloud DBMS" down to "sensor firmware filter".
@@ -36,7 +36,6 @@ pub mod frame;
 pub mod noise;
 pub mod plan;
 pub mod schema;
-pub mod stream;
 pub mod value;
 
 pub use catalog::{Catalog, Watermark};
@@ -51,5 +50,4 @@ pub use plan::{
     PlanCache, PlanCacheStats, ShardSpec,
 };
 pub use schema::{Column, Schema};
-pub use stream::{SensorFilter, SlidingWindow, WindowSpec};
 pub use value::{DataType, GroupKey, Value};

@@ -311,7 +311,7 @@ impl<'a> Executor<'a> {
         if !query.unions.is_empty() {
             return Ok(None);
         }
-        let Some((node, _)) = compile_query(self, query)? else { return Ok(None) };
+        let (node, _) = compile_query(self, query)?;
         let PNode::Block(block) = node else { return Ok(None) };
         let super::BlockPlan { input, filter, body } = *block;
         let PNode::Scan { table, source } = input else { return Ok(None) };
@@ -335,6 +335,7 @@ impl<'a> Executor<'a> {
                 let progs_pure = p.items.iter().all(|s| match s {
                     ProjStep::Splice(_) => true,
                     ProjStep::Prog(prog) => !prog.has_subquery(),
+                    ProjStep::Fail(_) => false,
                 });
                 if !progs_pure {
                     return Ok(None);
@@ -369,6 +370,7 @@ impl<'a> Executor<'a> {
                 }
                 IncKind::Grouped(a)
             }
+            Body::Fail(_) => return Ok(None),
         };
         let tables = paradise_sql::analysis::base_relations(query);
         let fingerprint = schema_fingerprint(self.catalog, &tables);
@@ -486,6 +488,7 @@ impl<'a> Executor<'a> {
                         ProjStep::Prog(p) => {
                             cols.push(p.eval(&fd, &ctx)?.into_column_arc(n))
                         }
+                        ProjStep::Fail(error) => return Err(error.clone()),
                     }
                 }
                 let delta_out = Frame::from_arc_columns(out_schema.clone(), cols)?;

@@ -6,19 +6,19 @@
 //! expressions to flat postorder instruction buffers
 //! ([`program::ExprProgram`]), and pre-selects strategies (hash vs.
 //! nested-loop join candidates, projected-vs-input `ORDER BY` key
-//! sources, the window/aggregate kinds). Execution then runs the same
-//! columnar kernels as the AST interpreter — plus partition-parallel
-//! grouped aggregation, window computation and filter/select gathers
-//! over the vendored [`minipool`] scoped thread pool (sized by the
+//! sources, the window/aggregate kinds). Execution then runs
+//! column-at-a-time kernels — plus partition-parallel grouped
+//! aggregation, window computation and filter/select gathers over the
+//! vendored [`minipool`] scoped thread pool (sized by the
 //! `PARADISE_THREADS` knob; serial when 1).
 //!
-//! Anything the planner cannot compile natively degrades gracefully:
-//! per-node as an interpreted fragment (`PNode::Interpret`), or — on any
-//! compile-time resolution error — by [`Executor::execute`] falling
-//! back to the AST interpreter wholesale, which reproduces the exact
-//! reference behaviour. The equivalence suite pins
-//! `compiled == columnar-interpreted == row-at-a-time` over the whole
-//! corpus.
+//! Every query shape compiles, `UNION` chains included; only a missing
+//! base table fails [`Executor::compile`]. Errors the row-at-a-time
+//! reference raises while evaluating rows (an unknown column or cast
+//! target, a bad aggregate call, …) are deferred into the plan and
+//! surface at run time, at the same point and only when a row is
+//! actually evaluated. The equivalence suites pin
+//! `compiled == row-at-a-time` (results and errors) over whole corpora.
 //!
 //! A [`PlanCache`] maps `(query AST, schema fingerprint)` to compiled
 //! plans with hit/miss/invalidation counters; `paradise-nodes` keeps
@@ -199,10 +199,6 @@ impl CompiledPlan {
 /// One operator of the physical DAG.
 #[derive(Debug, Clone)]
 enum PNode {
-    /// Fallback: interpret this (sub)query over the AST. Used for
-    /// shapes the planner does not compile natively (UNIONs, wildcard
-    /// aggregation errors, …).
-    Interpret(Box<Query>),
     /// `SELECT` without `FROM`: one empty row.
     Unit,
     /// Base-table scan; shares the catalog buffers zero-copy.
@@ -225,6 +221,13 @@ enum PNode {
     },
     /// One `SELECT` block: filter + (plain | aggregation) body.
     Block(Box<BlockPlan>),
+    /// A `UNION [ALL]` chain: the first branch, then each further
+    /// branch with its `ALL` flag. The result carries the first
+    /// branch's schema.
+    Union {
+        first: Box<PNode>,
+        rest: Vec<(bool, PNode)>,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -238,11 +241,29 @@ struct BlockPlan {
 enum Body {
     Plain(Box<PlainBody>),
     Agg(Box<AggBody>),
+    Fail(Box<FailBody>),
+}
+
+/// A block the reference rejects once it runs past its filter: a static
+/// error (`SELECT *` with aggregation, an ungrouped column under strict
+/// `GROUP BY`, an unknown window function, an unknown aggregate or a
+/// wrong argument count) kept in the plan so it surfaces where
+/// row-at-a-time execution raises it.
+#[derive(Debug, Clone)]
+struct FailBody {
+    /// Grouping keys of an aggregation whose calls are invalid: the
+    /// reference raises at the first group, so an empty input yields
+    /// an empty result (columns `out_names`), and the keys are
+    /// evaluated (for their own errors) first. Empty for every other
+    /// static error, which is raised unconditionally.
+    group: Vec<ExprProgram>,
+    out_names: Vec<String>,
+    error: EngineError,
 }
 
 /// Where an output column's declared-type hint comes from (refined by
 /// `finalise_types` against the actual buffers, exactly like the
-/// interpreter).
+/// row-at-a-time reference).
 #[derive(Debug, Clone, Copy)]
 enum DTypeSrc {
     Input(usize),
@@ -255,6 +276,9 @@ enum ProjStep {
     Splice(Vec<usize>),
     /// Evaluate a compiled expression program.
     Prog(ExprProgram),
+    /// The projection does not resolve (an unknown output column or
+    /// qualifier): raise its error once the windows are computed.
+    Fail(EngineError),
 }
 
 #[derive(Debug, Clone)]
@@ -372,15 +396,11 @@ struct WindowPlan {
 // ---------------------------------------------------------------------
 
 impl<'a> Executor<'a> {
-    /// Compile `query` against the executor's catalog. Errors (unknown
-    /// tables/columns, unsupported constructs in scalar position) make
-    /// [`Executor::execute`] fall back to the AST interpreter, which
-    /// reproduces the same runtime outcome.
+    /// Compile `query` against the executor's catalog. Fails only when
+    /// a base table is missing; every other error is deferred into the
+    /// plan (see the module docs).
     pub fn compile(&self, query: &Query) -> EngineResult<CompiledPlan> {
-        let root = match compile_query(self, query)? {
-            Some((node, _schema)) => node,
-            None => PNode::Interpret(Box::new(query.clone())),
-        };
+        let (root, _schema) = compile_query(self, query)?;
         let tables = paradise_sql::analysis::base_relations(query);
         let fingerprint = schema_fingerprint(self.catalog, &tables);
         Ok(CompiledPlan { root, tables, fingerprint })
@@ -398,68 +418,41 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// `None` = the sub-plan's output schema is not statically derivable;
-/// the caller interprets its enclosing block instead.
-type Compiled = Option<(PNode, Schema)>;
-
-fn compile_query(exec: &Executor<'_>, query: &Query) -> EngineResult<Compiled> {
-    if !query.unions.is_empty() {
-        // UNION result schemas depend on runtime type finalisation;
-        // interpret the whole chain
-        return Ok(None);
+/// Compile a query to its plan and static output schema. A `UNION`
+/// chain resolves names against its first branch.
+fn compile_query(exec: &Executor<'_>, query: &Query) -> EngineResult<(PNode, Schema)> {
+    let (first, schema) = compile_block(exec, query)?;
+    if query.unions.is_empty() {
+        return Ok((first, schema));
     }
-    compile_block(exec, query)
+    let rest = query
+        .unions
+        .iter()
+        .map(|(all, q)| Ok((*all, compile_block(exec, q)?.0)))
+        .collect::<EngineResult<_>>()?;
+    Ok((PNode::Union { first: Box::new(first), rest }, schema))
 }
 
-fn compile_block(exec: &Executor<'_>, query: &Query) -> EngineResult<Compiled> {
+fn compile_block(exec: &Executor<'_>, query: &Query) -> EngineResult<(PNode, Schema)> {
     let (input, input_schema) = match &query.from {
-        Some(t) => match compile_table(exec, t)? {
-            Some(pair) => pair,
-            None => return interpret_block(query),
-        },
+        Some(t) => compile_table(exec, t)?,
         None => (PNode::Unit, Schema::default()),
     };
-    let filter = match &query.where_clause {
-        Some(p) => Some(ExprProgram::compile(p, &input_schema)?),
-        None => None,
-    };
-    if query_aggregates(query) {
-        compile_agg(exec, query, input, &input_schema, filter)
+    let filter =
+        query.where_clause.as_ref().map(|p| ExprProgram::compile_deferred(p, &input_schema));
+    let compiled = if query_aggregates(query) {
+        compile_agg(exec, query, &input_schema)
     } else {
-        compile_plain(exec, query, input, &input_schema, filter)
-    }
+        compile_plain(exec, query, &input_schema)
+    };
+    let (body, schema) = compiled.unwrap_or_else(|error| {
+        let fail = FailBody { group: Vec::new(), out_names: Vec::new(), error };
+        (Body::Fail(Box::new(fail)), Schema::default())
+    });
+    Ok((PNode::Block(Box::new(BlockPlan { input, filter, body })), schema))
 }
 
-/// Wrap a block as an interpreted node when its output names are still
-/// statically known (so enclosing blocks stay compiled); bubble `None`
-/// otherwise.
-fn interpret_block(query: &Query) -> EngineResult<Compiled> {
-    match static_out_names(query) {
-        Some(names) => {
-            let mut schema = Schema::default();
-            for n in names {
-                schema.push(Column::new(n, DataType::Float));
-            }
-            Ok(Some((PNode::Interpret(Box::new(query.clone())), schema)))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Output column names of a block, when derivable without the input
-/// schema (i.e. no wildcards).
-fn static_out_names(query: &Query) -> Option<Vec<String>> {
-    let mut names = Vec::with_capacity(query.items.len());
-    for item in &query.items {
-        match item {
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
-            SelectItem::Expr { expr, alias } => names.push(item_name(expr, alias)),
-        }
-    }
-    Some(names)
-}
-
-/// The interpreter's output-column naming rule.
+/// The reference's output-column naming rule.
 fn item_name(expr: &Expr, alias: &Option<String>) -> String {
     match alias {
         Some(a) => a.clone(),
@@ -470,30 +463,25 @@ fn item_name(expr: &Expr, alias: &Option<String>) -> String {
     }
 }
 
-fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled> {
+fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<(PNode, Schema)> {
     match table {
         TableRef::Table { name, alias } => {
             let frame = exec.catalog.get(name)?;
             let source = alias.as_deref().unwrap_or(name).to_string();
             let schema = frame.schema.with_source(&source);
-            Ok(Some((PNode::Scan { table: name.clone(), source }, schema)))
+            Ok((PNode::Scan { table: name.clone(), source }, schema))
         }
-        TableRef::Subquery { query, alias } => match compile_query(exec, query)? {
-            Some((node, schema)) => {
-                let schema = match alias {
-                    Some(a) => schema.with_source(a),
-                    None => schema,
-                };
-                Ok(Some((
-                    PNode::Derived { input: Box::new(node), alias: alias.clone() },
-                    schema,
-                )))
-            }
-            None => Ok(None),
-        },
+        TableRef::Subquery { query, alias } => {
+            let (node, schema) = compile_query(exec, query)?;
+            let schema = match alias {
+                Some(a) => schema.with_source(a),
+                None => schema,
+            };
+            Ok((PNode::Derived { input: Box::new(node), alias: alias.clone() }, schema))
+        }
         TableRef::Join { left, right, kind, on } => {
-            let Some((l, ls)) = compile_table(exec, left)? else { return Ok(None) };
-            let Some((r, rs)) = compile_table(exec, right)? else { return Ok(None) };
+            let (l, ls) = compile_table(exec, left)?;
+            let (r, rs) = compile_table(exec, right)?;
             // pre-select the join strategy: recognise the single-equality
             // ON shape once; the typed-buffer check still runs at
             // execution time (buffers are dynamically typed)
@@ -503,16 +491,14 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
                 on.as_ref().and_then(|p| equi_join_columns(p, &ls, &rs))
             };
             let schema = ls.join(&rs);
-            Ok(Some((
-                PNode::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    kind: *kind,
-                    on: on.clone(),
-                    equi,
-                },
-                schema,
-            )))
+            let node = PNode::Join {
+                left: Box::new(l),
+                right: Box::new(r),
+                kind: *kind,
+                on: on.clone(),
+                equi,
+            };
+            Ok((node, schema))
         }
     }
 }
@@ -520,11 +506,9 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
 fn compile_plain(
     exec: &Executor<'_>,
     query: &Query,
-    input: PNode,
     input_schema: &Schema,
-    filter: Option<ExprProgram>,
-) -> EngineResult<Compiled> {
-    // windows: collected in the interpreter's order (items, then ORDER BY)
+) -> EngineResult<(Body, Schema)> {
+    // windows: collected in the reference's order (items, then ORDER BY)
     let mut calls: Vec<FunctionCall> = Vec::new();
     for item in &query.items {
         if let SelectItem::Expr { expr, .. } = item {
@@ -543,14 +527,25 @@ fn compile_plain(
         work_schema.push(Column::new(name.clone(), DataType::Float));
         rewrite_map.push((call.clone(), name));
     }
-    let rewrite = |expr: &Expr| -> Expr {
-        if rewrite_map.is_empty() {
-            return expr.clone();
-        }
-        window::replace_window_calls(expr.clone(), &rewrite_map)
-    };
+    let rewrite = |expr: &Expr| window::replace_window_calls(expr.clone(), &rewrite_map);
 
-    let (out_schema, proj) = exec.projection_plan(query, &work_schema, &rewrite)?;
+    let (out_schema, proj) = match exec.projection_plan(query, &work_schema, &rewrite) {
+        Ok(plan) => plan,
+        Err(error) => {
+            // the reference resolves the projection after computing the
+            // windows, so their errors surface first
+            let body = PlainBody {
+                windows,
+                items: vec![ProjStep::Fail(error)],
+                out_cols: Vec::new(),
+                order: Vec::new(),
+                distinct: false,
+                limit: None,
+                offset: None,
+            };
+            return Ok((Body::Plain(Box::new(body)), Schema::default()));
+        }
+    };
     let mut items = Vec::with_capacity(proj.len());
     let mut out_cols = Vec::with_capacity(out_schema.len());
     let mut names = out_schema.columns().iter().map(|c| c.name.clone());
@@ -570,7 +565,7 @@ fn compile_plain(
                     _ => DTypeSrc::Fixed(DataType::Float),
                 };
                 out_cols.push((names.next().expect("aligned"), dsrc));
-                items.push(ProjStep::Prog(ExprProgram::compile(&e, &work_schema)?));
+                items.push(ProjStep::Prog(ExprProgram::compile_deferred(&e, &work_schema)));
             }
         }
     }
@@ -578,27 +573,23 @@ fn compile_plain(
     let mut order = Vec::with_capacity(query.order_by.len());
     for o in &query.order_by {
         let e = rewrite(&o.expr);
-        let src = match order_key_source(&e, &out_schema, &work_schema)? {
+        let src = match order_key_source(&e, &out_schema, &work_schema) {
             KeySource::OutCol(i) => OrderKeySrc::OutCol(i),
-            KeySource::Input => OrderKeySrc::Prog(ExprProgram::compile(&e, &work_schema)?),
+            KeySource::Input => OrderKeySrc::Prog(ExprProgram::compile_deferred(&e, &work_schema)),
         };
         order.push((src, o.order));
     }
 
-    let node = PNode::Block(Box::new(BlockPlan {
-        input,
-        filter,
-        body: Body::Plain(Box::new(PlainBody {
-            windows,
-            items,
-            out_cols,
-            order,
-            distinct: query.distinct,
-            limit: query.limit,
-            offset: query.offset,
-        })),
+    let body = Body::Plain(Box::new(PlainBody {
+        windows,
+        items,
+        out_cols,
+        order,
+        distinct: query.distinct,
+        limit: query.limit,
+        offset: query.offset,
     }));
-    Ok(Some((node, out_schema)))
+    Ok((body, out_schema))
 }
 
 fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<WindowPlan> {
@@ -612,27 +603,18 @@ fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<Wi
         })?),
     };
     let over = call.over.as_ref().expect("window call has OVER");
-    let partition = over
-        .partition_by
-        .iter()
-        .map(|p| ExprProgram::compile(p, input_schema))
-        .collect::<EngineResult<_>>()?;
+    let partition =
+        over.partition_by.iter().map(|p| ExprProgram::compile_deferred(p, input_schema)).collect();
     let order = over
         .order_by
         .iter()
-        .map(|o| Ok((ExprProgram::compile(&o.expr, input_schema)?, o.order)))
-        .collect::<EngineResult<_>>()?;
+        .map(|o| (ExprProgram::compile_deferred(&o.expr, input_schema), o.order))
+        .collect();
     let ranking = matches!(func, WinFunc::RowNumber | WinFunc::Rank | WinFunc::DenseRank);
     let args = if ranking {
         Vec::new()
     } else {
-        call.args
-            .iter()
-            .map(|a| match a {
-                Expr::Wildcard => Ok(ArgStep::Star),
-                other => Ok(ArgStep::Prog(ExprProgram::compile(other, input_schema)?)),
-            })
-            .collect::<EngineResult<_>>()?
+        call.args.iter().map(|a| arg_step(a, input_schema)).collect()
     };
     Ok(WindowPlan { func, distinct: call.distinct, partition, order, args })
 }
@@ -640,17 +622,12 @@ fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<Wi
 fn compile_agg(
     exec: &Executor<'_>,
     query: &Query,
-    input: PNode,
     input_schema: &Schema,
-    filter: Option<ExprProgram>,
-) -> EngineResult<Compiled> {
+) -> EngineResult<(Body, Schema)> {
     if query.has_wildcard() {
-        // the interpreter rejects `SELECT *` with aggregation at runtime
-        return interpret_block(query);
+        return Err(EngineError::Unsupported("SELECT * with GROUP BY/aggregates".into()));
     }
     if exec.options.strict_group_by {
-        // static property: check once at compile time; violations fall
-        // back to the interpreter, which raises the reference error
         let grouped: std::collections::HashSet<String> = query
             .group_by
             .iter()
@@ -666,11 +643,8 @@ fn compile_agg(
         }
     }
 
-    let group: Vec<ExprProgram> = query
-        .group_by
-        .iter()
-        .map(|g| ExprProgram::compile(g, input_schema))
-        .collect::<EngineResult<_>>()?;
+    let group: Vec<ExprProgram> =
+        query.group_by.iter().map(|g| ExprProgram::compile_deferred(g, input_schema)).collect();
 
     let mut agg_calls: Vec<FunctionCall> = Vec::new();
     for item in &query.items {
@@ -685,25 +659,42 @@ fn compile_agg(
         collect_aggregate_calls(&o.expr, &mut agg_calls);
     }
 
+    let out_names: Vec<String> = query
+        .items
+        .iter()
+        .map(|item| match item {
+            SelectItem::Expr { expr, alias } => item_name(expr, alias),
+            _ => unreachable!("wildcards excluded"),
+        })
+        .collect();
+    let mut out_schema = Schema::default();
+    for name in &out_names {
+        out_schema.push(Column::new(name.clone(), DataType::Float));
+    }
+
     let mut calls = Vec::with_capacity(agg_calls.len());
     for call in &agg_calls {
-        let kind = AggKind::from_name(&call.name)
-            .ok_or_else(|| EngineError::UnknownFunction(call.name.clone()))?;
-        if call.args.len() != kind.arity() {
-            return Err(EngineError::WrongArity {
-                function: call.name.clone(),
-                expected: kind.arity().to_string(),
-                got: call.args.len(),
+        let checked = AggKind::from_name(&call.name)
+            .ok_or_else(|| EngineError::UnknownFunction(call.name.clone()))
+            .and_then(|kind| {
+                if call.args.len() == kind.arity() {
+                    Ok(kind)
+                } else {
+                    Err(EngineError::WrongArity {
+                        function: call.name.clone(),
+                        expected: kind.arity().to_string(),
+                        got: call.args.len(),
+                    })
+                }
             });
-        }
-        let args = call
-            .args
-            .iter()
-            .map(|a| match a {
-                Expr::Wildcard => Ok(ArgStep::Star),
-                other => Ok(ArgStep::Prog(ExprProgram::compile(other, input_schema)?)),
-            })
-            .collect::<EngineResult<_>>()?;
+        let kind = match checked {
+            Ok(kind) => kind,
+            Err(error) => {
+                let fail = FailBody { group, out_names, error };
+                return Ok((Body::Fail(Box::new(fail)), out_schema));
+            }
+        };
+        let args = call.args.iter().map(|a| arg_step(a, input_schema)).collect();
         calls.push(AggCallPlan { kind, distinct: call.distinct, args });
     }
 
@@ -716,35 +707,28 @@ fn compile_agg(
         |expr: &Expr| -> Expr { replace_aggregate_calls(expr.clone(), &agg_calls, &agg_names) };
 
     let mut having =
-        query.having.as_ref().map(|h| ExprProgram::compile(&rewrite(h), &ext_schema)).transpose()?;
+        query.having.as_ref().map(|h| ExprProgram::compile_deferred(&rewrite(h), &ext_schema));
 
-    let mut out_names = Vec::with_capacity(query.items.len());
     let mut items = Vec::with_capacity(query.items.len());
     for item in &query.items {
-        let SelectItem::Expr { expr, alias } = item else { unreachable!("wildcards excluded") };
-        out_names.push(item_name(expr, alias));
+        let SelectItem::Expr { expr, .. } = item else { unreachable!("wildcards excluded") };
         let e = rewrite(expr);
-        let step = match &e {
-            Expr::Column(c) => match ext_schema.try_resolve(c.qualifier.as_deref(), &c.name) {
-                Some(idx) => AggItemStep::Col(idx),
-                None => AggItemStep::Prog(ExprProgram::compile(&e, &ext_schema)?),
-            },
-            _ => AggItemStep::Prog(ExprProgram::compile(&e, &ext_schema)?),
+        let resolved = match &e {
+            Expr::Column(c) => ext_schema.try_resolve(c.qualifier.as_deref(), &c.name),
+            _ => None,
         };
-        items.push(step);
-    }
-
-    let mut out_schema = Schema::default();
-    for name in &out_names {
-        out_schema.push(Column::new(name.clone(), DataType::Float));
+        items.push(match resolved {
+            Some(idx) => AggItemStep::Col(idx),
+            None => AggItemStep::Prog(ExprProgram::compile_deferred(&e, &ext_schema)),
+        });
     }
 
     let mut order = Vec::with_capacity(query.order_by.len());
     for o in &query.order_by {
         let e = rewrite(&o.expr);
-        let src = match order_key_source(&e, &out_schema, &ext_schema)? {
+        let src = match order_key_source(&e, &out_schema, &ext_schema) {
             KeySource::OutCol(i) => OrderKeySrc::OutCol(i),
-            KeySource::Input => OrderKeySrc::Prog(ExprProgram::compile(&e, &ext_schema)?),
+            KeySource::Input => OrderKeySrc::Prog(ExprProgram::compile_deferred(&e, &ext_schema)),
         };
         order.push((src, o.order));
     }
@@ -755,7 +739,8 @@ fn compile_agg(
     // high-cardinality GROUP BY over wide inputs). Programs are
     // remapped to the compact layout. Skipped when the input schema has
     // duplicate names, where narrowing could change name resolution in
-    // the (rare) row-fallback path.
+    // the (rare) row-fallback path, and when a program did not resolve
+    // (its per-row evaluation may read any column).
     let mut rep_cols: Vec<usize> = (0..input_schema.len()).collect();
     let unique_names = {
         let mut seen = std::collections::HashSet::new();
@@ -764,7 +749,15 @@ fn compile_agg(
             .iter()
             .all(|c| seen.insert(c.name.to_ascii_lowercase()))
     };
-    if unique_names {
+    let all_resolved = items.iter().all(|s| match s {
+        AggItemStep::Col(_) => true,
+        AggItemStep::Prog(p) => p.is_resolved(),
+    }) && having.as_ref().is_none_or(ExprProgram::is_resolved)
+        && order.iter().all(|(src, _)| match src {
+            OrderKeySrc::OutCol(_) => true,
+            OrderKeySrc::Prog(p) => p.is_resolved(),
+        });
+    if unique_names && all_resolved {
         let mut used: Vec<bool> = vec![false; input_schema.len()];
         let mut mark = |idx: usize| {
             if idx < used.len() {
@@ -815,24 +808,28 @@ fn compile_agg(
         }
     }
 
-    let node = PNode::Block(Box::new(BlockPlan {
-        input,
-        filter,
-        body: Body::Agg(Box::new(AggBody {
-            group,
-            calls,
-            agg_names,
-            rep_cols,
-            having,
-            items,
-            out_names,
-            order,
-            distinct: query.distinct,
-            limit: query.limit,
-            offset: query.offset,
-        })),
+    let body = Body::Agg(Box::new(AggBody {
+        group,
+        calls,
+        agg_names,
+        rep_cols,
+        having,
+        items,
+        out_names,
+        order,
+        distinct: query.distinct,
+        limit: query.limit,
+        offset: query.offset,
     }));
-    Ok(Some((node, out_schema)))
+    Ok((body, out_schema))
+}
+
+/// An aggregate or window argument: `*` counts rows.
+fn arg_step(arg: &Expr, schema: &Schema) -> ArgStep {
+    match arg {
+        Expr::Wildcard => ArgStep::Star,
+        other => ArgStep::Prog(ExprProgram::compile_deferred(other, schema)),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -841,7 +838,6 @@ fn compile_agg(
 
 fn exec_node(exec: &Executor<'_>, node: &PNode) -> EngineResult<Frame> {
     match node {
-        PNode::Interpret(q) => exec.execute_ast(q),
         PNode::Unit => Frame::new(Schema::default(), vec![vec![]]),
         PNode::Scan { table, source } => {
             let frame = exec.catalog.get(table)?;
@@ -866,6 +862,14 @@ fn exec_node(exec: &Executor<'_>, node: &PNode) -> EngineResult<Frame> {
             exec.join_frames(l, r, *kind, on.as_ref(), *equi)
         }
         PNode::Block(block) => exec_block(exec, block),
+        PNode::Union { first, rest } => {
+            let mut result = exec_node(exec, first)?;
+            for (all, branch) in rest {
+                let next = exec_node(exec, branch)?;
+                exec::union_append(&mut result, next, *all)?;
+            }
+            Ok(result)
+        }
     }
 }
 
@@ -873,9 +877,7 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
     let input = exec_node(exec, &block.input)?;
     let filtered = match &block.filter {
         Some(p) => {
-            // subqueries interpret columnar-style: re-compiling them per
-            // tick would defeat the compile-once contract
-            let subquery_fn = |q: &Query| exec.execute_ast(q);
+            let subquery_fn = |q: &Query| exec.execute(q);
             let mask = {
                 let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
                 p.eval_mask(&input, &ctx)?
@@ -887,11 +889,33 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
     match &block.body {
         Body::Plain(body) => exec_plain(exec, body, filtered),
         Body::Agg(body) => exec_agg(exec, body, filtered),
+        Body::Fail(body) => exec_fail(exec, body, filtered),
     }
 }
 
+/// Raise a block's static error where the reference does: after the
+/// filter, and — for an aggregation with invalid calls — only once a
+/// group exists (with `GROUP BY`, once a row survives the filter).
+fn exec_fail(exec: &Executor<'_>, body: &FailBody, input: Frame) -> EngineResult<Frame> {
+    if !body.group.is_empty() {
+        if input.is_empty() {
+            let mut schema = Schema::default();
+            for name in &body.out_names {
+                schema.push(Column::new(name.clone(), DataType::Float));
+            }
+            return Ok(Frame::empty(schema));
+        }
+        let subquery_fn = |q: &Query| exec.execute(q);
+        let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
+        for key in &body.group {
+            key.eval(&input, &ctx)?;
+        }
+    }
+    Err(body.error.clone())
+}
+
 fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResult<Frame> {
-    let subquery_fn = |q: &Query| exec.execute_ast(q);
+    let subquery_fn = |q: &Query| exec.execute(q);
 
     // window columns, attached in plan order
     let mut work = input;
@@ -915,6 +939,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
                 }
             }
             ProjStep::Prog(p) => out_arcs.push(p.eval(&work, &ctx)?.into_column_arc(n)),
+            ProjStep::Fail(error) => return Err(error.clone()),
         }
     }
     let mut out_schema = Schema::default();
@@ -939,7 +964,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
 }
 
 /// Shared DISTINCT → ORDER BY → LIMIT/OFFSET tail of both block bodies,
-/// matching the interpreter's operator order exactly.
+/// matching the reference's operator order exactly.
 fn sort_distinct_tail(
     mut frame: Frame,
     mut key_cols: Vec<Arc<ColumnData>>,
@@ -979,7 +1004,7 @@ fn sort_distinct_tail(
 
 fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<Frame> {
     let n = input.len();
-    let subquery_fn = |q: &Query| exec.execute_ast(q);
+    let subquery_fn = |q: &Query| exec.execute(q);
 
     // 1. group rows (first-appearance order, CSR layout)
     let grouping = if body.group.is_empty() {
@@ -996,7 +1021,7 @@ fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<F
 
     // 2. batch-evaluate the aggregate arguments once over the input
     // (with zero groups nothing consumes them; programs never evaluate
-    // over empty frames, so this stays error-free like the interpreter)
+    // over empty frames, so this stays error-free like the reference)
     let arg_batches: Vec<Vec<Batch>> = {
         let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
         eval_call_args(&body.calls, &input, &ctx)?
@@ -1034,7 +1059,7 @@ fn agg_finalize_masked(
     ext_all: Frame,
     mask: Option<&[bool]>,
 ) -> EngineResult<Frame> {
-    let subquery_fn = |q: &Query| exec.execute_ast(q);
+    let subquery_fn = |q: &Query| exec.execute(q);
 
     // 5. HAVING over the extended frame
     let ext = match (&body.having, mask) {
@@ -1080,7 +1105,7 @@ fn agg_finalize_masked(
 /// Representative (first) values of the referenced input columns per
 /// group ++ one column per aggregate call. A single empty group (global
 /// aggregation over zero rows) yields one all-NULL representative row,
-/// like the interpreter.
+/// like the reference.
 fn build_ext_frame(
     input: &Frame,
     grouping: &Grouping,
@@ -1183,7 +1208,7 @@ impl Grouping {
 }
 
 /// Partition `0..n` by the key columns, groups in first-appearance
-/// order. Same contract as the interpreter's grouping, but Fx-hashed
+/// order. Same contract as the reference's grouping, but Fx-hashed
 /// with dense single-key fast paths (float-bit / integer keys skip the
 /// `GroupKey` enum entirely) — hashing dominates the per-tick cost of
 /// `GROUP BY` at scale.
@@ -1286,7 +1311,7 @@ impl NumView<'_> {
 
 /// How one aggregate call's pre-batched arguments feed an
 /// [`Accumulator`], with typed fast paths for the numeric kinds. The
-/// generic arm reproduces the interpreter's per-row `Value` loop bit
+/// generic arm reproduces the reference's per-row `Value` loop bit
 /// for bit; the fast arms update the same sums in the same order, so
 /// results are identical either way. Shared by full-rescan grouped
 /// aggregation, running windows and the incremental fold (which keeps
@@ -1384,7 +1409,7 @@ impl<'a> RowAcc<'a> {
 
 /// All aggregate calls over a contiguous range of groups; accumulators
 /// are constructed once and reset per group. Returns one value column
-/// per call (covering the range), in the interpreter's group-major
+/// per call (covering the range), in the reference's group-major
 /// evaluation order so errors surface identically.
 fn accumulate_range(
     calls: &[AggCallPlan],
@@ -1761,8 +1786,8 @@ struct CacheEntry {
     /// Caller-chosen key extension (e.g. a privacy-policy version); an
     /// entry only hits for the salt it was compiled under.
     salt: u64,
-    /// `None`: the query is not compilable — interpret it (and don't
-    /// retry until the schema fingerprint changes).
+    /// `None`: the query does not compile (a base table is missing);
+    /// don't retry until the schema fingerprint changes.
     plan: Option<Arc<CompiledPlan>>,
     /// The incremental (delta-aware) plan, compiled lazily on the first
     /// request: outer `None` = not attempted yet, `Some(None)` = shape
@@ -1802,7 +1827,7 @@ impl PlanCache {
         self.stats
     }
 
-    /// Number of cached (compiled or interpret-marked) entries.
+    /// Number of cached (compiled or failed) entries.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -1813,8 +1838,8 @@ impl PlanCache {
     }
 
     /// Look up (or compile) the plan for `query` against `exec`'s
-    /// catalog. Returns `None` when the query is not compilable — the
-    /// caller interprets it; that verdict is cached too.
+    /// catalog. Returns `None` when the query does not compile (see
+    /// [`Executor::compile`]); that verdict is cached too.
     pub fn get_or_compile(
         &mut self,
         exec: &Executor<'_>,
@@ -2029,7 +2054,7 @@ mod tests {
         let compiled_exec = Executor::new(&c);
         let interp_exec = Executor::with_options(
             &c,
-            ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
+            ExecOptions { mode: ExecMode::RowAtATime, ..Default::default() },
         );
         for sql in QUERIES {
             let q = parse_query(sql).unwrap();
@@ -2113,13 +2138,16 @@ mod tests {
         let q = parse_query("SELECT x FROM stream UNION SELECT y FROM stream").unwrap();
         let mut cache = PlanCache::new();
         let exec = Executor::new(&c);
-        // UNION compiles to an Interpret root — still a usable plan
-        assert!(cache.get_or_compile(&exec, &q).is_some());
-        // a query over a missing table is not compilable at all
+        // UNION compiles natively to a union node
+        let plan = cache.get_or_compile(&exec, &q).expect("UNION compiles");
+        assert!(matches!(plan.root, PNode::Union { .. }));
+        // a query over a missing table does not compile at all, and
+        // that verdict is cached until the schemas change
         let missing = parse_query("SELECT q FROM nowhere").unwrap();
         assert!(cache.get_or_compile(&exec, &missing).is_none());
         assert!(cache.get_or_compile(&exec, &missing).is_none());
-        assert_eq!(cache.stats().hits, 1, "the interpret verdict is cached");
+        assert_eq!(cache.stats().hits, 1, "the failed compile is cached");
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

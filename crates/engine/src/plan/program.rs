@@ -3,17 +3,18 @@
 //!
 //! [`ExprProgram::compile`] resolves every column reference to an
 //! ordinal against the input schema **once**; [`ExprProgram::eval`]
-//! then runs a small stack machine over [`Batch`] values, reusing the
-//! exact batch kernels of [`crate::eval`] (dense numeric comparison /
-//! arithmetic, three-valued logic). Semantics — including the
-//! fall-back-to-the-row-interpreter-on-error rule and the
-//! no-evaluation-over-empty-frames rule — match
-//! [`crate::eval::eval_expr_batch`] instruction for instruction, which
-//! the proptest suite pins down.
+//! then runs a small stack machine over [`Batch`] values, using the
+//! batch kernels of [`crate::eval`] (dense numeric comparison /
+//! arithmetic, three-valued logic). Results match the per-row
+//! reference [`eval_expr`] on every row, which the proptest suite pins
+//! down: nothing is evaluated over an empty frame, and any error of
+//! the eager batch pass falls back to per-row evaluation, so the
+//! reference error (or result) surfaces.
 
 use std::sync::Arc;
 
 use paradise_sql::ast::{BinaryOp, Expr, UnaryOp};
+use paradise_sql::visit::walk_expr;
 
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
@@ -58,6 +59,12 @@ enum Instr {
     /// Row-invariant subquery / EXISTS: delegated to the row
     /// interpreter once per program run.
     SubqueryConst(Expr),
+    /// The expression does not resolve against the compile-time schema
+    /// (unknown column, bare `*`, unknown cast target, …). Running it
+    /// fails the batch pass, so [`ExprProgram::eval`] evaluates row by
+    /// row and the error surfaces only once a row is evaluated — as in
+    /// row-at-a-time execution.
+    Unresolved(EngineError),
 }
 
 /// A compiled expression: pre-resolved ordinals + instruction buffer,
@@ -72,13 +79,33 @@ pub struct ExprProgram {
 impl ExprProgram {
     /// Compile `expr` against `schema`. Fails on unresolvable columns
     /// and on constructs the batch evaluator cannot run (bare `*`,
-    /// window calls, unknown cast targets) — callers fall back to the
-    /// AST interpreter, which reproduces the same runtime behaviour.
+    /// window calls, unknown cast targets).
     pub fn compile(expr: &Expr, schema: &Schema) -> EngineResult<ExprProgram> {
         let mut program =
             ExprProgram { instrs: Vec::new(), fallback: expr.clone(), has_subquery: false };
         program.push_expr(expr, schema)?;
         Ok(program)
+    }
+
+    /// [`ExprProgram::compile`], but an expression that does not resolve
+    /// against `schema` becomes a program that defers its error to the
+    /// first evaluated row instead of failing now. The physical planner
+    /// compiles every expression this way.
+    pub(crate) fn compile_deferred(expr: &Expr, schema: &Schema) -> ExprProgram {
+        ExprProgram::compile(expr, schema).unwrap_or_else(|e| {
+            let mut has_subquery = false;
+            walk_expr(expr, &mut |e| {
+                has_subquery |= matches!(e, Expr::Subquery(_) | Expr::Exists(_));
+            });
+            ExprProgram { instrs: vec![Instr::Unresolved(e)], fallback: expr.clone(), has_subquery }
+        })
+    }
+
+    /// Did every column reference resolve at compile time? (Otherwise
+    /// [`ExprProgram::column_ordinals`] does not cover the columns the
+    /// per-row evaluation reads.)
+    pub(crate) fn is_resolved(&self) -> bool {
+        !matches!(self.instrs.as_slice(), [Instr::Unresolved(_)])
     }
 
     /// Does the program run subqueries (and therefore need an executor
@@ -200,10 +227,10 @@ impl ExprProgram {
         Ok(())
     }
 
-    /// Evaluate over every row of `frame`, column-at-a-time. Matches
-    /// [`crate::eval::eval_expr_batch`]: nothing is evaluated over an
-    /// empty frame, and any stack-machine error falls back to the row
-    /// interpreter so the reference error (or result) surfaces.
+    /// Evaluate over every row of `frame`, column-at-a-time. Nothing is
+    /// evaluated over an empty frame, and any stack-machine error falls
+    /// back to the row interpreter so the reference error (or result)
+    /// surfaces.
     pub fn eval(&self, frame: &Frame, ctx: &EvalContext<'_>) -> EngineResult<Batch> {
         if frame.is_empty() {
             return Ok(Batch::Col(Arc::new(ColumnData::empty(DataType::Float))));
@@ -430,6 +457,7 @@ impl ExprProgram {
                     let row = Row::new();
                     stack.push(Batch::Const(eval_expr(e, &row, ctx)?));
                 }
+                Instr::Unresolved(e) => return Err(e.clone()),
             }
         }
         Ok(stack.pop().expect("program leaves one result"))
@@ -481,7 +509,6 @@ fn clamp_dense(args: &[Batch], n: usize) -> Option<ColumnData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_expr_batch;
     use paradise_sql::parse_expr;
 
     fn frame() -> Frame {
@@ -502,20 +529,25 @@ mod tests {
         .unwrap()
     }
 
-    fn check(src: &str) {
-        let e = parse_expr(src).unwrap();
-        let f = frame();
+    /// The program's batch result equals the per-row reference on every
+    /// row of `f`.
+    fn check_program(program: &ExprProgram, e: &Expr, f: &Frame) {
         let ctx = EvalContext::new(&f.schema);
-        let program = ExprProgram::compile(&e, &f.schema).unwrap();
-        let compiled = program.eval(&f, &ctx).unwrap();
-        let reference = eval_expr_batch(&e, &f, &ctx).unwrap();
+        let compiled = program.eval(f, &ctx).unwrap();
         for i in 0..f.len() {
-            assert_eq!(compiled.value(i), reference.value(i), "row {i} of {src}");
+            let reference = eval_expr(e, &f.row(i), &ctx).unwrap();
+            assert_eq!(compiled.value(i), reference, "row {i} of {e}");
         }
     }
 
+    fn check(src: &str) {
+        let e = parse_expr(src).unwrap();
+        let f = frame();
+        check_program(&ExprProgram::compile(&e, &f.schema).unwrap(), &e, &f);
+    }
+
     #[test]
-    fn programs_match_batch_evaluator() {
+    fn programs_match_row_evaluator() {
         for src in [
             "x + 1",
             "x > 1.6 AND t < 3",
@@ -554,13 +586,25 @@ mod tests {
         // batch path errors eagerly and must fall back identically
         let e = parse_expr("name = 'ada' OR x > 1").unwrap();
         let f = frame();
+        check_program(&ExprProgram::compile(&e, &f.schema).unwrap(), &e, &f);
+    }
+
+    #[test]
+    fn unresolved_programs_fail_only_on_evaluated_rows() {
+        let f = frame();
+        let empty = Frame::empty(f.schema.clone());
         let ctx = EvalContext::new(&f.schema);
-        let program = ExprProgram::compile(&e, &f.schema).unwrap();
-        let compiled = program.eval(&f, &ctx).unwrap();
-        let reference = eval_expr_batch(&e, &f, &ctx).unwrap();
-        for i in 0..f.len() {
-            assert_eq!(compiled.value(i), reference.value(i));
-        }
+        let missing = parse_expr("missing > 1").unwrap();
+        let program = ExprProgram::compile_deferred(&missing, &f.schema);
+        assert!(!program.is_resolved());
+        assert!(program.eval(&empty, &ctx).is_ok());
+        assert!(matches!(program.eval(&f, &ctx), Err(EngineError::UnknownColumn(_))));
+        // a branch the reference never takes stays harmless
+        let lazy = parse_expr("CASE WHEN x IS NULL THEN CAST(t AS BLOB) ELSE t END").unwrap();
+        let program = ExprProgram::compile_deferred(&lazy, &f.schema);
+        assert!(!program.is_resolved());
+        let only_set = f.select_rows(&[0, 1]);
+        check_program(&program, &lazy, &only_set);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental execution equivalence: over randomized-ish schedules of
 //! appends, evictions and replacements, the delta-aware path must
 //! produce frames **identical** (schema and cells) to the compiled
-//! full-rescan plan and to the columnar AST interpreter.
+//! full-rescan plan and to the row-at-a-time reference.
 
 use paradise_engine::{
     Catalog, DataType, DeltaInput, ExecMode, ExecOptions, Executor, Frame, IncrementalState,
@@ -105,9 +105,9 @@ fn run_schedule(sql: &str, steps: &[Step]) {
             let full = exec.compile(&query).unwrap();
             exec.run_plan(&full).unwrap()
         };
-        let columnar = Executor::with_options(
+        let row_mode = Executor::with_options(
             &catalog,
-            ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
+            ExecOptions { mode: ExecMode::RowAtATime, ..Default::default() },
         )
         .execute(&query)
         .unwrap();
@@ -120,8 +120,8 @@ fn run_schedule(sql: &str, steps: &[Step]) {
         );
         assert_eq!(
             compiled.to_rows(),
-            columnar.to_rows(),
-            "{sql}: compiled != columnar at tick {tick}"
+            row_mode.to_rows(),
+            "{sql}: compiled != row-at-a-time at tick {tick}"
         );
     }
     // the schedule below evicts/replaces, so some resets must occur;

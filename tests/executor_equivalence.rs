@@ -1,9 +1,11 @@
 //! Executor-equivalence suite: every query of the roundtrip corpus is
-//! executed three times over the same `SmartRoomSim` data — through the
-//! compiled physical-plan path (the default), the columnar AST
-//! interpreter (`ExecMode::Columnar`), and the retained row-at-a-time
+//! executed twice over the same `SmartRoomSim` data — through the
+//! compiled physical-plan path (the default) and the row-at-a-time
 //! reference path (`ExecMode::RowAtATime`) — and the resulting frames
-//! must be identical (or all paths must fail with the same error).
+//! must be identical (or both paths must fail with the same error).
+//! An error corpus runs the same check over the populated stream and
+//! over an empty one, where errors raised only while evaluating rows
+//! must not surface.
 
 use paradise::prelude::*;
 
@@ -68,6 +70,47 @@ const TAGGED_EXTRAS: &[&str] = &[
     "SELECT tag, SUM(z) OVER (PARTITION BY who ORDER BY t) AS rz FROM tagged",
 ];
 
+/// Queries that fail on the populated stream. Each runs over the
+/// populated catalog and with `stream` empty; over no rows, errors the
+/// reference raises only while evaluating a row must not surface.
+const ERROR_CORPUS: &[&str] = &[
+    // unknown column: projected (raised statically), filtered, in an
+    // expression and in a grouping key
+    "SELECT nope FROM stream",
+    "SELECT x FROM stream WHERE nope > 1",
+    "SELECT x + nope FROM stream",
+    "SELECT nope, COUNT(*) FROM stream GROUP BY nope",
+    // ... behind a window whose partition key fails first
+    "SELECT nope, SUM(x) OVER (PARTITION BY x + 'a') FROM stream",
+    // unknown scalar function
+    "SELECT nofn(x) FROM stream",
+    "SELECT x FROM stream WHERE nofn(x) > 1",
+    // wrong aggregate arity, with and without GROUP BY
+    "SELECT x, SUM(x, x) FROM stream GROUP BY x",
+    "SELECT SUM(x, x) FROM stream",
+    // `*` outside COUNT
+    "SELECT ABS(*) FROM stream",
+    "SELECT * , COUNT(*) FROM stream",
+    // unknown CAST target
+    "SELECT CAST(x AS BLOB) FROM stream",
+    "SELECT x FROM stream WHERE CAST(t AS BLOB) IS NULL",
+    // UNION width mismatch
+    "SELECT x FROM stream UNION SELECT x, y FROM stream",
+    // subqueries over a UNION
+    "SELECT x FROM stream WHERE x > (SELECT x FROM stream UNION SELECT y FROM stream)",
+    "SELECT x FROM stream WHERE x < (SELECT MAX(y) FROM stream UNION ALL SELECT MIN(y) FROM stream)",
+    "SELECT v FROM (SELECT x AS v FROM stream UNION SELECT nope FROM stream)",
+];
+
+/// The populated catalog with `stream` replaced by an empty table of
+/// the same schema.
+fn catalog_with_empty_stream() -> Catalog {
+    let mut c = catalog();
+    let schema = c.get("stream").unwrap().schema.clone();
+    c.register_or_replace("stream", Frame::empty(schema));
+    c
+}
+
 fn catalog() -> Catalog {
     let config = SmartRoomConfig { persons: 4, switch_probability: 0.02, ..Default::default() };
     let mut sim = SmartRoomSim::with_config(7, config.clone());
@@ -102,38 +145,26 @@ fn assert_equivalent(catalog: &Catalog, sql: &str) {
     let query = parse_query(sql).unwrap_or_else(|e| panic!("corpus query fails to parse: {sql}: {e}"));
     // ExecMode::Compiled is the default: compile-once/run-many physical plans
     let compiled = Executor::new(catalog).execute(&query);
-    let columnar = Executor::with_options(
-        catalog,
-        ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
-    )
-    .execute(&query);
     let row_mode = Executor::with_options(
         catalog,
         ExecOptions { mode: ExecMode::RowAtATime, ..Default::default() },
     )
     .execute(&query);
-    let pairs = [("compiled vs columnar", &compiled, &columnar), ("compiled vs row", &compiled, &row_mode)];
-    for (what, a, b) in pairs {
-        match (a, b) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.schema, b.schema, "schemas diverge ({what}) for: {sql}");
-                assert_eq!(a.to_rows(), b.to_rows(), "rows diverge ({what}) for: {sql}");
-                assert_eq!(a, b, "frame equality diverges ({what}) for: {sql}");
-                assert_eq!(
-                    a.size_bytes(),
-                    b.size_bytes(),
-                    "size accounting diverges ({what}) for: {sql}"
-                );
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "errors diverge ({what}) for: {sql}");
-            }
-            (a, b) => panic!(
-                "modes disagree ({what}) for {sql}: {:?} vs {:?}",
-                a.as_ref().map(|f| f.len()),
-                b.as_ref().map(|f| f.len())
-            ),
+    match (&compiled, &row_mode) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.schema, b.schema, "schemas diverge for: {sql}");
+            assert_eq!(a.to_rows(), b.to_rows(), "rows diverge for: {sql}");
+            assert_eq!(a, b, "frame equality diverges for: {sql}");
+            assert_eq!(a.size_bytes(), b.size_bytes(), "size accounting diverges for: {sql}");
         }
+        (Err(a), Err(b)) => {
+            assert_eq!(a.to_string(), b.to_string(), "errors diverge for: {sql}");
+        }
+        (a, b) => panic!(
+            "modes disagree for {sql}: {:?} vs {:?}",
+            a.as_ref().map(|f| f.len()),
+            b.as_ref().map(|f| f.len())
+        ),
     }
 }
 
@@ -142,9 +173,7 @@ fn assert_equivalent(catalog: &Catalog, sql: &str) {
 fn assert_plan_reuse(catalog: &Catalog, sql: &str) {
     let query = parse_query(sql).unwrap();
     let exec = Executor::new(catalog);
-    let Ok(plan) = exec.compile(&query) else {
-        return; // uncompilable queries run interpreted; covered above
-    };
+    let plan = exec.compile(&query).unwrap_or_else(|e| panic!("{sql} does not compile: {e}"));
     let once = exec.run_plan(&plan);
     let twice = exec.run_plan(&plan);
     match (once, twice, exec.execute(&query)) {
@@ -173,6 +202,21 @@ fn tagged_queries_agree_between_row_and_columnar_paths() {
     let catalog = catalog();
     for sql in TAGGED_EXTRAS {
         assert_equivalent(&catalog, sql);
+    }
+}
+
+#[test]
+fn error_corpus_agrees_on_populated_and_empty_streams() {
+    let populated = catalog();
+    let empty = catalog_with_empty_stream();
+    for sql in ERROR_CORPUS {
+        let query = parse_query(sql).unwrap();
+        assert!(
+            Executor::new(&populated).execute(&query).is_err(),
+            "error corpus query succeeds on the populated stream: {sql}"
+        );
+        assert_equivalent(&populated, sql);
+        assert_equivalent(&empty, sql);
     }
 }
 

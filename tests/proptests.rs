@@ -284,7 +284,7 @@ proptest! {
     }
 
     #[test]
-    fn compiled_plans_match_the_columnar_interpreter(
+    fn compiled_plans_match_row_mode(
         frame in arb_frame(),
         sql in arb_fragmentable_query(),
     ) {
@@ -297,13 +297,13 @@ proptest! {
         let a = exec.run_plan(&plan).unwrap();
         let b = exec.run_plan(&plan).unwrap();
         prop_assert_eq!(&a, &b, "plan re-run diverged: {}", sql);
-        let interpreted = Executor::with_options(
+        let row_mode = Executor::with_options(
             &catalog,
-            ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
+            ExecOptions { mode: ExecMode::RowAtATime, ..Default::default() },
         )
         .execute(&query)
         .unwrap();
-        prop_assert_eq!(&a, &interpreted, "query: {}", sql);
+        prop_assert_eq!(&a, &row_mode, "query: {}", sql);
     }
 }
 
@@ -375,22 +375,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn expression_programs_match_the_batch_interpreter(
+    fn expression_programs_match_the_row_evaluator(
         frame in arb_frame(),
         e in arb_stream_expr(),
     ) {
-        use paradise::engine::eval::{eval_expr_batch, EvalContext};
+        use paradise::engine::eval::{eval_expr, EvalContext};
         use paradise::engine::plan::ExprProgram;
         let ctx = EvalContext::new(&frame.schema);
         let program = ExprProgram::compile(&e, &frame.schema).expect("columns resolve");
-        match (program.eval(&frame, &ctx), eval_expr_batch(&e, &frame, &ctx)) {
+        // the reference: per-row evaluation, failing at the first row
+        // that errors
+        let reference: Result<Vec<Value>, _> =
+            frame.iter_rows().map(|row| eval_expr(&e, &row, &ctx)).collect();
+        match (program.eval(&frame, &ctx), reference) {
             (Ok(a), Ok(b)) => {
-                for i in 0..frame.len() {
-                    prop_assert_eq!(a.value(i), b.value(i), "row {} of {}", i, e);
+                for (i, v) in b.into_iter().enumerate() {
+                    prop_assert_eq!(a.value(i), v, "row {} of {}", i, e);
                 }
             }
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "expr: {}", e),
-            other => prop_assert!(false, "program and interpreter disagree for {}: {:?}", e, other),
+            other => prop_assert!(false, "program and row evaluator disagree for {}: {:?}", e, other),
         }
     }
 

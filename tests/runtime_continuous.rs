@@ -255,7 +255,7 @@ proptest! {
     /// (a) the full-rescan runtime over the same stream, and — at the
     /// end of the schedule — (b) a fresh one-shot `Processor` over the
     /// retained window (whose engine is itself pinned against the
-    /// columnar interpreter by the executor equivalence suite).
+    /// row-at-a-time reference by the executor equivalence suite).
     #[test]
     fn incremental_ticks_equal_full_rescan_over_random_schedules(
         seed in 1u64..400,
